@@ -48,9 +48,9 @@ std::unique_ptr<Session> Database::CreateSession(const ExecOptions& defaults) {
 }
 
 Status Database::Execute(const std::string& sql) {
-  // Exclusive: catalog mutation, row appends and in-place mutations wait
-  // for running queries (shared holders) and block new ones until done.
-  std::unique_lock<std::shared_mutex> ddl_lock(ddl_mu_);
+  // Writes serialize among themselves only: queries pin the versions they
+  // read, so a write never waits for them (see Catalog::Write).
+  std::lock_guard<std::mutex> writer(writer_mu_);
   SKINNER_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
   switch (stmt.kind) {
     case Statement::Kind::kCreateTable: {
@@ -80,7 +80,7 @@ Status Database::Execute(const std::string& sql) {
       return Status::OK();
     }
     case Statement::Kind::kInsert: {
-      Table* table = catalog_.FindTable(stmt.insert->table);
+      std::shared_ptr<Table> table = catalog_.Current(stmt.insert->table);
       if (table == nullptr) {
         return Status::NotFound("no such table: " + stmt.insert->table);
       }
@@ -109,22 +109,26 @@ Status Database::Execute(const std::string& sql) {
       // Apply, then log exactly the appended prefix: a mid-statement type
       // error leaves the earlier rows in the table, so they must also be
       // in the log.
-      Status st;
       size_t applied = 0;
-      for (; applied < rows.size(); ++applied) {
-        st = table->AppendRow(rows[applied]);
-        if (!st.ok()) break;
-      }
-      if (wal_ != nullptr && applied > 0) {
-        WalRecord rec;
-        rec.type = WalRecordType::kInsertRows;
-        rec.table = table->name();
-        rec.rows.assign(std::make_move_iterator(rows.begin()),
-                        std::make_move_iterator(rows.begin() +
-                                                static_cast<long>(applied)));
-        SKINNER_RETURN_IF_ERROR(LogRecord(&rec));
-      }
-      return st;
+      return catalog_.Write(
+          table, table->AllColumns(), /*write_mask=*/true,
+          [&](Table* t) -> Status {
+            for (; applied < rows.size(); ++applied) {
+              SKINNER_RETURN_IF_ERROR(t->AppendRow(rows[applied]));
+            }
+            return Status::OK();
+          },
+          [&]() -> Status {
+            if (wal_ == nullptr) return Status::OK();
+            WalRecord rec;
+            rec.type = WalRecordType::kInsertRows;
+            rec.table = table->name();
+            rec.rows.assign(
+                std::make_move_iterator(rows.begin()),
+                std::make_move_iterator(rows.begin() +
+                                        static_cast<long>(applied)));
+            return LogRecord(&rec);
+          });
     }
     case Statement::Kind::kUpdate: {
       SKINNER_ASSIGN_OR_RETURN(
@@ -159,26 +163,33 @@ Result<QueryOutput> Database::ExecuteMutationLocked(const BoundMutation& m) {
   const uint64_t appends_before = wal_ != nullptr ? wal_->appends() : 0;
   const uint64_t bytes_before = wal_ != nullptr ? wal_->bytes() : 0;
   // Two-phase: the scan sees only pre-mutation state, and a SET type error
-  // surfaces before anything is written.
+  // surfaces before anything is written. The scan reads the current
+  // version without a lock: only writers change it, and they wait for us.
   SKINNER_ASSIGN_OR_RETURN(MutationPlan plan,
                            ComputeMutation(m, catalog_.string_pool()));
-  SKINNER_RETURN_IF_ERROR(ApplyMutation(m.table, plan));
-  if (wal_ != nullptr &&
-      (!plan.cell_changes.empty() || !plan.deleted_rows.empty())) {
-    WalRecord rec;
-    rec.table = m.table->name();
-    if (m.kind == Statement::Kind::kUpdate) {
-      rec.type = WalRecordType::kUpdateCells;
-      rec.cells.reserve(plan.cell_changes.size());
-      for (const auto& cc : plan.cell_changes) {
-        rec.cells.push_back(WalRecord::Cell{cc.row, cc.col, cc.value});
-      }
-    } else {
-      rec.type = WalRecordType::kDeleteRows;
-      rec.deleted_rows = plan.deleted_rows;
-    }
-    SKINNER_RETURN_IF_ERROR(LogRecord(&rec));
-  }
+  // An UPDATE writes its SET columns; a DELETE only the delete mask.
+  const bool update = m.kind == Statement::Kind::kUpdate;
+  std::vector<int> write_cols;
+  for (const auto& sc : m.sets) write_cols.push_back(sc.column_idx);
+  SKINNER_RETURN_IF_ERROR(catalog_.Write(
+      m.table, write_cols, /*write_mask=*/!update,
+      [&](Table* t) { return ApplyMutation(t, plan); },
+      [&]() -> Status {
+        if (wal_ == nullptr) return Status::OK();
+        WalRecord rec;
+        rec.table = m.table->name();
+        if (update) {
+          rec.type = WalRecordType::kUpdateCells;
+          rec.cells.reserve(plan.cell_changes.size());
+          for (const auto& cc : plan.cell_changes) {
+            rec.cells.push_back(WalRecord::Cell{cc.row, cc.col, cc.value});
+          }
+        } else {
+          rec.type = WalRecordType::kDeleteRows;
+          rec.deleted_rows = plan.deleted_rows;
+        }
+        return LogRecord(&rec);
+      }));
   QueryOutput out;
   out.result.column_names = {"rows_affected"};
   out.result.rows.push_back({Value::Int(plan.rows_matched)});
@@ -282,11 +293,21 @@ Result<std::unique_ptr<Database>> Database::Open(
 }
 
 Status Database::Checkpoint() {
-  std::unique_lock<std::shared_mutex> ddl_lock(ddl_mu_);
-  // Compaction rewrites masked tables in place (bumping data_version, so
-  // cached artifacts over the old row numbering die with it).
+  std::lock_guard<std::mutex> writer(writer_mu_);
+  // Compaction is a write like any other: a masked table is compacted in
+  // place, or — when a query pins it — into a new version, so the query
+  // keeps its row numbering. Either way data_version moves, and cached
+  // artifacts over the old numbering die with it.
   for (const std::string& name : catalog_.TableNames()) {
-    catalog_.FindTable(name)->Compact();
+    std::shared_ptr<Table> table = catalog_.Current(name);
+    if (!table->has_deletes()) continue;
+    SKINNER_RETURN_IF_ERROR(catalog_.Write(
+        table, table->AllColumns(), /*write_mask=*/true,
+        [](Table* t) {
+          t->Compact();
+          return Status::OK();
+        },
+        [] { return Status::OK(); }));
   }
   if (wal_ != nullptr) {
     // The snapshot commits with the current LSN fence before the log is
@@ -301,12 +322,11 @@ Status Database::Checkpoint() {
 }
 
 Result<std::unique_ptr<BoundQuery>> Database::Bind(const std::string& sql) {
-  std::shared_lock<std::shared_mutex> ddl_lock(ddl_mu_);
   QueryPipeline pipeline(&catalog_, &udfs_, &stats_, &cache_,
                          scheduler_.get());
   SKINNER_ASSIGN_OR_RETURN(Statement stmt, pipeline.Parse(sql));
   SKINNER_ASSIGN_OR_RETURN(BoundStage bound, pipeline.Bind(std::move(stmt)));
-  return std::move(bound.query);
+  return std::move(bound.query);  // owns its pins until the caller drops it
 }
 
 Result<QueryOutput> Database::Query(const std::string& sql,
@@ -315,7 +335,6 @@ Result<QueryOutput> Database::Query(const std::string& sql,
 }
 
 Result<PlanResult> Database::OptimizerOrder(const BoundQuery& query) {
-  std::shared_lock<std::shared_mutex> ddl_lock(ddl_mu_);
   SKINNER_ASSIGN_OR_RETURN(QueryInfo info, QueryInfo::Analyze(query));
   Estimator estimator(&stats_);
   return OptimizeWithEstimates(info, query, &estimator);
@@ -323,7 +342,6 @@ Result<PlanResult> Database::OptimizerOrder(const BoundQuery& query) {
 
 Result<QueryOutput> Database::RunSelect(const BoundQuery& query,
                                         const ExecOptions& opts) {
-  std::shared_lock<std::shared_mutex> ddl_lock(ddl_mu_);
   QueryPipeline pipeline(&catalog_, &udfs_, &stats_, &cache_,
                          scheduler_.get());
   SKINNER_ASSIGN_OR_RETURN(PreparedStage prep,
@@ -349,6 +367,9 @@ std::vector<Result<QueryOutput>> Database::QueryBatchInternal(
   Scheduler* sched =
       bopts.scheduler != nullptr ? bopts.scheduler : scheduler_.get();
   QueryPipeline pipeline(&catalog_, &udfs_, &stats_, cache, sched);
+  // One version per table for the whole batch: every item binds against
+  // this snapshot, and it outlives every stage below.
+  auto snapshot = std::make_shared<TableSnapshot>(&catalog_);
 
   std::vector<std::optional<Result<QueryOutput>>> results(n);
   std::vector<std::optional<BoundStage>> bound(n);
@@ -367,10 +388,10 @@ std::vector<Result<QueryOutput>> Database::QueryBatchInternal(
   std::vector<std::string> item_key(n);
   std::vector<const std::string*> owner_keys;  // first-seen order
 
-  // Stage A (sequential): parse + bind every item. Binding interns string
-  // literals into the shared pool, which is append-only but not
-  // thread-safe — and it is orders of magnitude cheaper than
-  // prepare/execute, which do run concurrently below. Grouping (and the
+  // Stage A (sequential): parse + bind every item. Binding resolves tables
+  // through the batch's snapshot, which is not thread-safe — and it is
+  // orders of magnitude cheaper than prepare/execute, which do run
+  // concurrently below. Grouping (and the
   // warm-start snapshot) happens here, before anything executes, so which
   // item pays the build and which UCT hint every item sees are fixed
   // deterministically — independent of worker count and schedule.
@@ -385,7 +406,7 @@ std::vector<Result<QueryOutput>> Database::QueryBatchInternal(
       results[i] = stmt.status();
       continue;
     }
-    auto b = pipeline.Bind(stmt.MoveValue());
+    auto b = pipeline.Bind(stmt.MoveValue(), snapshot);
     if (!b.ok()) {
       results[i] = b.status();
       continue;

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -226,7 +226,8 @@ class Database {
 
   /// Compacts every table's validity mask and — for a durable database —
   /// atomically writes a fresh snapshot and resets the WAL. Serialized
-  /// against queries and DML via the exclusive DDL lock.
+  /// with DDL and DML on the writer mutex; queries run on (a table a query
+  /// pins is compacted into a new version).
   Status Checkpoint();
 
   /// Durability counters (this process's appends; lifetime replay count).
@@ -283,13 +284,15 @@ class Database {
   /// distinct query template and reused by every item — and, with
   /// use_prepared_cache, by later queries too). Results are per item, in
   /// item order, and bit-identical for any worker count. Items must be
-  /// SELECTs; running DML concurrently with a batch is outside the API
-  /// contract (as for Query()).
+  /// SELECTs. The batch reads one version of each table (the first item
+  /// naming a table pins it); writes meanwhile are not seen by the batch.
   std::vector<Result<QueryOutput>> QueryBatch(
       const std::vector<BatchItem>& items, const BatchOptions& opts = {});
 
   /// Parses and binds a SELECT without running it (for benchmarks that
-  /// re-execute one query under many engines).
+  /// re-execute one query under many engines). The query pins the table
+  /// versions it bound (BoundQuery::snapshot): every RunSelect of it reads
+  /// those versions, and writes meanwhile go to new ones.
   Result<std::unique_ptr<BoundQuery>> Bind(const std::string& sql);
 
   /// Runs an already-bound SELECT. Never touches the PreparedCache (the
@@ -309,8 +312,9 @@ class Database {
   std::vector<Result<QueryOutput>> QueryBatchInternal(
       const std::vector<BatchItem>& items, const BatchOptions& opts);
 
-  /// Computes, applies and logs one bound UPDATE/DELETE, returning the
-  /// rows_affected result row + stats. Caller must hold ddl_mu_ exclusive
+  /// Computes, applies and logs one bound UPDATE/DELETE against m.table,
+  /// which must be the target's current version, returning the
+  /// rows_affected result row + stats. Caller must hold writer_mu_
   /// (Execute() and PreparedStatement's mutation path do).
   Result<QueryOutput> ExecuteMutationLocked(const BoundMutation& m);
   /// Applies one replayed WAL record during Open().
@@ -323,21 +327,19 @@ class Database {
   StatsManager stats_;
   PreparedCache cache_;
   std::unique_ptr<Scheduler> scheduler_;  // constructed in database.cc
-  /// DDL-vs-query serialization: Execute() (CREATE/DROP/INSERT mutate the
-  /// catalog and table data) takes this exclusively; every query path
-  /// (Session::Query/QueryBatch/Prepare/ExecuteBatch, statement Execute,
-  /// Bind/RunSelect/OptimizerOrder) holds it shared for its whole run.
-  /// Queries of any number of sessions therefore run fully concurrently,
-  /// while a DROP waits for the readers of the table to finish instead of
-  /// pulling Table storage out from under them — concurrent DDL yields a
-  /// clean Status (stale statement / no such table), never a race.
-  mutable std::shared_mutex ddl_mu_;
+  /// Serializes every write: DDL, DML (Execute, prepared UPDATE/DELETE)
+  /// and Checkpoint. Reads never take it. A query pins the table versions
+  /// it binds (TableSnapshot) and reads them lock-free; a write to a
+  /// pinned version goes to a copy-on-write clone (Catalog::Write), and a
+  /// DROP only unlinks the name — so a write never waits for a reader, and
+  /// a reader never sees a write half-applied or its tables freed.
+  std::mutex writer_mu_;
   std::atomic<uint64_t> next_session_id_{1};
   std::unique_ptr<Session> default_session_;  // constructed in database.cc
 
   /// Durability (null for in-memory databases). All appends happen under
-  /// ddl_mu_ exclusive; the atomics republish the writer's counters so
-  /// STATS readers never race a DML in flight.
+  /// writer_mu_; the atomics republish the writer's counters so STATS
+  /// readers never race a DML in flight.
   std::unique_ptr<WalWriter> wal_;
   std::string storage_dir_;
   std::atomic<uint64_t> wal_appends_{0};

@@ -1,9 +1,9 @@
 #include "api/prepared_statement.h"
 
 #include <algorithm>
+#include <mutex>
 #include <optional>
 #include <set>
-#include <shared_mutex>
 #include <utility>
 
 #include "api/query_pipeline.h"
@@ -73,8 +73,8 @@ Status PreparedStatement::Init() {
     // DML statements have no template signature or artifact keys — just
     // the target table's identity for staleness detection.
     table_names_.push_back(mutation_->table->name());
-    table_ptrs_.push_back(mutation_->table);
     table_ids_.push_back(mutation_->table->id());
+    mutation_->table.reset();
     return Status::OK();
   }
   template_sig_ = ComputeQuerySignature(*template_);
@@ -91,11 +91,12 @@ Status PreparedStatement::Init() {
     for (const Expr* p : info.unary_preds(t)) p->CollectParams(&ids);
     table_params_[static_cast<size_t>(t)].assign(ids.begin(), ids.end());
   }
-  for (const BoundTable& bt : template_->tables) {
+  for (BoundTable& bt : template_->tables) {
     table_names_.push_back(bt.table->name());
-    table_ptrs_.push_back(bt.table);
     table_ids_.push_back(bt.table->id());
+    bt.table = nullptr;  // each execution binds the then-current version
   }
+  template_->snapshot.reset();
   return Status::OK();
 }
 
@@ -120,27 +121,30 @@ Status PreparedStatement::CheckParams(const std::vector<Value>& params) const {
   return Status::OK();
 }
 
-Status PreparedStatement::CheckFreshness() const {
-  for (size_t i = 0; i < table_names_.size(); ++i) {
-    const Table* now = db_->catalog()->FindTable(table_names_[i]);
-    if (now != table_ptrs_[i] || now->id() != table_ids_[i]) {
-      return Status::InvalidArgument(
-          "prepared statement is stale: table " + table_names_[i] +
-          " was dropped or re-created since Prepare(); prepare it again");
-    }
+Status PreparedStatement::CheckFreshness(size_t i, const Table* now) const {
+  if (now == nullptr || now->id() != table_ids_[i]) {
+    return Status::InvalidArgument(
+        "prepared statement is stale: table " + table_names_[i] +
+        " was dropped or re-created since Prepare(); prepare it again");
   }
   return Status::OK();
 }
 
 Result<PreparedStage> PreparedStatement::PrepareStage(
-    const std::vector<Value>& params, const ExecOptions& opts) const {
+    const std::vector<Value>& params, const ExecOptions& opts,
+    const std::shared_ptr<TableSnapshot>& snapshot) const {
   SKINNER_RETURN_IF_ERROR(CheckParams(params));
-  SKINNER_RETURN_IF_ERROR(CheckFreshness());
 
-  // Instantiate: clone the template, splice the values in as literals and
-  // re-run the binder's type pass so a type-invalid combination errors
-  // exactly like the literal SQL text would.
+  // Instantiate: clone the template, bind it to the snapshot's versions,
+  // splice the values in as literals and re-run the binder's type pass so
+  // a type-invalid combination errors exactly like the literal SQL text
+  // would.
   std::unique_ptr<BoundQuery> query = template_->Clone();
+  for (size_t i = 0; i < table_names_.size(); ++i) {
+    const Table* now = snapshot->Resolve(table_names_[i]);
+    SKINNER_RETURN_IF_ERROR(CheckFreshness(i, now));
+    query->tables[i].table = now;
+  }
   StringPool* pool = db_->catalog()->string_pool();
   if (query->where != nullptr) SubstituteParams(query->where.get(), params, pool);
   for (auto& s : query->select) SubstituteParams(s.expr.get(), params, pool);
@@ -176,6 +180,7 @@ Result<PreparedStage> PreparedStatement::PrepareStage(
   std::vector<std::shared_ptr<const TableArtifact>> reuse(
       static_cast<size_t>(m));
   PreparedStage stage;
+  stage.snapshot = snapshot;
   stage.clock = std::make_unique<VirtualClock>();
   uint64_t built_cost = 0;
   // A false constant predicate (possibly through a bound value: `? = 1`)
@@ -357,13 +362,15 @@ Result<QueryOutput> PreparedStatement::Execute(const std::vector<Value>& params)
 
 Result<QueryOutput> PreparedStatement::ExecuteMutation(
     const std::vector<Value>& params) {
-  // DML mutates table data: exclusive, like Database::Execute — waits for
-  // running queries, blocks new ones for the (tiny) apply+log window.
-  std::unique_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
+  // DML is a write: it serializes with other writes (like
+  // Database::Execute), never with queries.
+  std::unique_lock<std::mutex> writer(db_->writer_mu_);
   auto run = [&]() -> Result<QueryOutput> {
     SKINNER_RETURN_IF_ERROR(CheckParams(params));
-    SKINNER_RETURN_IF_ERROR(CheckFreshness());
+    std::shared_ptr<Table> now = db_->catalog()->Current(table_names_[0]);
+    SKINNER_RETURN_IF_ERROR(CheckFreshness(0, now.get()));
     std::unique_ptr<BoundMutation> m = mutation_->Clone();
+    m->table = std::move(now);
     StringPool* pool = db_->catalog()->string_pool();
     for (auto& sc : m->sets) SubstituteParams(sc.expr.get(), params, pool);
     if (m->where != nullptr) SubstituteParams(m->where.get(), params, pool);
@@ -377,7 +384,7 @@ Result<QueryOutput> PreparedStatement::ExecuteMutation(
     return db_->ExecuteMutationLocked(*m);
   };
   Result<QueryOutput> out = run();
-  ddl_lock.unlock();
+  writer.unlock();
   session_->Roll(out);
   return out;
 }
@@ -391,16 +398,17 @@ Result<QueryOutput> PreparedStatement::Execute(const std::vector<Value>& params,
   // use_prepared_cache additionally lets the execute stage record the
   // final join order under the template signature.
   eopts.use_prepared_cache = true;
-  std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
   QueryPipeline pipeline(db_->catalog(), db_->udfs(), db_->stats_manager(),
                          db_->prepared_cache(), db_->scheduler());
   auto run = [&]() -> Result<QueryOutput> {
-    SKINNER_ASSIGN_OR_RETURN(PreparedStage stage, PrepareStage(params, eopts));
+    SKINNER_ASSIGN_OR_RETURN(
+        PreparedStage stage,
+        PrepareStage(params, eopts,
+                     std::make_shared<TableSnapshot>(db_->catalog())));
     SKINNER_ASSIGN_OR_RETURN(ExecutedStage exec, pipeline.Execute(stage, eopts));
     return pipeline.PostProcess(stage, std::move(exec));
   };
   Result<QueryOutput> out = run();
-  ddl_lock.unlock();
   session_->Roll(out);
   return out;
 }
@@ -410,9 +418,8 @@ std::vector<Result<QueryOutput>> PreparedStatement::ExecuteMany(
     const BatchOptions& bopts, const ExecOptions& base_opts) {
   const size_t n = param_sets.size();
   if (mutation_ != nullptr) {
-    // The batch path holds the DDL lock shared for its whole run; DML
-    // needs it exclusive. Executing mutations one at a time via Execute()
-    // is equivalent anyway (there is nothing to parallelize).
+    // Writes serialize on the writer mutex, so there is nothing to
+    // parallelize: execute mutations one at a time via Execute().
     std::vector<Result<QueryOutput>> rejected;
     rejected.reserve(n);
     for (size_t i = 0; i < n; ++i) {
@@ -434,6 +441,8 @@ std::vector<Result<QueryOutput>> PreparedStatement::ExecuteMany(
   // later batches).
   const std::vector<int> warm_snapshot =
       db_->prepared_cache()->WarmOrder(template_sig_);
+  // Every parameter set reads the same table versions.
+  auto snapshot = std::make_shared<TableSnapshot>(db_->catalog());
 
   std::vector<std::optional<Result<QueryOutput>>> results(n);
   std::vector<std::optional<PreparedStage>> stages(n);
@@ -450,7 +459,7 @@ std::vector<Result<QueryOutput>> PreparedStatement::ExecuteMany(
     eopts[i].seed = bopts.derive_item_seeds
                         ? HashMix64(bopts.seed + 0x9e3779b97f4a7c15ULL * (i + 1))
                         : session_->DeriveSeed(base_opts.seed);
-    auto stage = PrepareStage(param_sets[i], eopts[i]);
+    auto stage = PrepareStage(param_sets[i], eopts[i], snapshot);
     if (!stage.ok()) {
       results[i] = stage.status();
       continue;

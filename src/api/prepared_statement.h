@@ -37,9 +37,13 @@ struct PreparedStage;
 ///
 /// A statement may also wrap a `?`-parameterized UPDATE or DELETE (the
 /// only way to run parameterized DML — Database::Execute rejects `?`).
-/// Mutation executions take the database's DDL lock exclusively, apply
+/// Mutation executions serialize on the database's writer mutex, apply
 /// and WAL-log the change, and return one `rows_affected` row; none of
 /// the SELECT-side caching machinery above applies.
+///
+/// A statement holds no table version between executions: each execution
+/// resolves the current version of every table by name (a SELECT pins it
+/// for the execution), and fails as stale if a table's id changed.
 ///
 /// Thread-safety: like a driver statement handle, one execution at a
 /// time per statement (string parameters intern into the shared pool);
@@ -78,21 +82,24 @@ class PreparedStatement {
                     std::unique_ptr<BoundMutation> mutation);
 
   /// Post-bind analysis: template signature, per-table parameter sets,
-  /// table identities for staleness checks.
+  /// table identities for staleness checks. Then drops the bound table
+  /// versions, so the statement keeps no version alive.
   Status Init();
 
   /// Arity + inferred-type-class validation of one parameter set.
   Status CheckParams(const std::vector<Value>& params) const;
 
-  /// The template's FROM tables must still exist unchanged (a DROP or
-  /// re-CREATE since Prepare leaves dangling Table pointers otherwise).
-  Status CheckFreshness() const;
+  /// `now`, the version re-resolved for template table `i`, must be the
+  /// table Prepare() bound: a DROP or re-CREATE since gives it a new id.
+  Status CheckFreshness(size_t i, const Table* now) const;
 
   /// Builds the per-execution stage: substitutes params into a clone of
-  /// the template, acquires/builds per-table artifacts through the cache,
-  /// and assembles a PreparedStage for the pipeline's execute stage.
-  Result<PreparedStage> PrepareStage(const std::vector<Value>& params,
-                                     const ExecOptions& opts) const;
+  /// the template bound to `snapshot`'s table versions, acquires/builds
+  /// per-table artifacts through the cache, and assembles a PreparedStage
+  /// (holding the snapshot) for the pipeline's execute stage.
+  Result<PreparedStage> PrepareStage(
+      const std::vector<Value>& params, const ExecOptions& opts,
+      const std::shared_ptr<TableSnapshot>& snapshot) const;
 
   /// Batch core used by Session::ExecuteBatch: sequential prepare (string
   /// interning + artifact builds), concurrent execute/post-process.
@@ -116,7 +123,6 @@ class PreparedStatement {
   std::vector<std::vector<int>> table_params_;
   /// Table identities at prepare time, for staleness detection.
   std::vector<std::string> table_names_;
-  std::vector<const Table*> table_ptrs_;
   std::vector<uint64_t> table_ids_;
 };
 

@@ -25,14 +25,16 @@ Result<Statement> QueryPipeline::Parse(const std::string& sql) const {
   return stmt;
 }
 
-Result<BoundStage> QueryPipeline::Bind(Statement stmt) const {
+Result<BoundStage> QueryPipeline::Bind(
+    Statement stmt, std::shared_ptr<TableSnapshot> snapshot) const {
   if (stmt.kind != Statement::Kind::kSelect || stmt.select == nullptr) {
     return Status::InvalidArgument("expected a SELECT statement");
   }
+  if (snapshot == nullptr) snapshot = std::make_shared<TableSnapshot>(catalog_);
   BoundStage stage;
   stage.query = std::make_unique<BoundQuery>();
-  SKINNER_ASSIGN_OR_RETURN(*stage.query,
-                           BindSelect(stmt.select.get(), catalog_, udfs_));
+  SKINNER_ASSIGN_OR_RETURN(
+      *stage.query, BindSelect(stmt.select.get(), std::move(snapshot), udfs_));
   return stage;
 }
 
@@ -53,6 +55,10 @@ Result<PreparedStage> QueryPipeline::PrepareFresh(
   }
 
   PreparedStage stage;
+  // The stage, not the (cacheable) bundle, holds the pins.
+  stage.snapshot = bundle->bound != nullptr
+                       ? std::move(bundle->bound->snapshot)
+                       : query->snapshot;
   stage.clock = std::make_unique<VirtualClock>();
 
   SKINNER_ASSIGN_OR_RETURN(QueryInfo info, QueryInfo::Analyze(*query));
@@ -105,6 +111,7 @@ Result<PreparedStage> QueryPipeline::Prepare(BoundStage bound,
     PreparedHandle hit = cache_->Lookup(key, stamps);
     if (hit != nullptr) {
       PreparedStage stage = RebindStage(std::move(hit), signature);
+      stage.snapshot = std::move(bound.query->snapshot);
       std::vector<int> warm = cache_->WarmOrder(stage.signature);
       stage.template_hit = !warm.empty();
       if (opts.warm_start) stage.warm_order = std::move(warm);
@@ -122,7 +129,10 @@ Result<PreparedStage> QueryPipeline::Prepare(BoundStage bound,
   }
   PreparedCache::BundleClaim claim = cache_->Acquire(key, stamps);
   if (claim.handle != nullptr) {
+    // The cached bundle's tables are the versions this query pinned: equal
+    // (id, data_version) stamps name one live version.
     PreparedStage stage = RebindStage(std::move(claim.handle), signature);
+    stage.snapshot = std::move(bound.query->snapshot);
     std::vector<int> warm = cache_->WarmOrder(signature);
     stage.template_hit = !warm.empty();
     if (opts.warm_start) stage.warm_order = std::move(warm);

@@ -11,7 +11,8 @@
 
 namespace skinner {
 
-/// Output of the bind stage: the fully resolved query. The cache identity
+/// Output of the bind stage: the fully resolved query, which pins the
+/// table versions it bound (BoundQuery::snapshot). The cache identity
 /// (normalized signature + per-table data-version stamps) is derived from
 /// it on demand — by Prepare() when caching is on, and by QueryBatch for
 /// grouping — so the default uncached path pays no serialization.
@@ -24,6 +25,10 @@ struct BoundStage {
 /// the wall-clock stopwatch, and the warm-start hint. Movable; `pq` points
 /// at `clock`, which lives on the heap exactly so moves keep it stable.
 struct PreparedStage {
+  /// Pins the table versions this stage reads (declared first, so it is
+  /// released last). Held here, not in `shared`: a bundle may be cached,
+  /// and no cache entry may keep a version alive.
+  std::shared_ptr<TableSnapshot> snapshot;
   PreparedHandle shared;               // keeps bound/info/data alive
   std::unique_ptr<PreparedQuery> pq;   // per-execution view
   std::unique_ptr<VirtualClock> clock;
@@ -58,9 +63,11 @@ struct ExecutedStage {
 /// Each stage consumes the previous stage's context object, so callers can
 /// run the stages back to back (Run(), which is what Database::Query does)
 /// or interleave the stages of many queries: Database::QueryBatch binds
-/// all items sequentially (string-literal interning mutates the shared
-/// pool), then prepares one artifact per distinct signature and executes
-/// all items concurrently against the shared artifacts.
+/// all items sequentially against one TableSnapshot, then prepares one
+/// artifact per distinct signature and executes all items concurrently
+/// against the shared artifacts. No stage takes a database-wide lock: the
+/// pins carried from bind to post-process keep every table version alive
+/// and unchanged, whatever writers do meanwhile.
 ///
 /// The pipeline object itself is stateless apart from the injected
 /// components and is cheap to construct; Execute/PostProcess only touch
@@ -79,9 +86,12 @@ class QueryPipeline {
   /// Stage 1: SQL text -> parsed statement (must be a SELECT).
   Result<Statement> Parse(const std::string& sql) const;
 
-  /// Stage 2: parsed SELECT -> bound query. Interns string literals into
-  /// the catalog's pool (not thread-safe; serialize bind stages).
-  Result<BoundStage> Bind(Statement stmt) const;
+  /// Stage 2: parsed SELECT -> bound query. Tables resolve through
+  /// `snapshot` (pinning on first use; not thread-safe, so serialize bind
+  /// stages that share one), or through a fresh snapshot when null.
+  /// Interns string literals into the catalog's pool.
+  Result<BoundStage> Bind(Statement stmt,
+                          std::shared_ptr<TableSnapshot> snapshot = nullptr) const;
 
   /// Stage 3: bound query -> prepared stage. With opts.use_prepared_cache,
   /// serves repeated signatures from the PreparedCache (preprocess_cost 0)

@@ -1,6 +1,6 @@
 #include "api/session.h"
 
-#include <shared_mutex>
+#include <mutex>
 #include <utility>
 
 #include "api/prepared_statement.h"
@@ -55,13 +55,9 @@ Result<QueryOutput> Session::Query(const std::string& sql,
                                    const ExecOptions& opts) {
   ExecOptions eopts = opts;
   eopts.seed = DeriveSeed(opts.seed);
-  // Shared: any number of sessions query concurrently; DDL (exclusive)
-  // waits for them and blocks new ones (see Database::ddl_mu_).
-  std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
   QueryPipeline pipeline(db_->catalog(), db_->udfs(), db_->stats_manager(),
                          db_->prepared_cache(), db_->scheduler());
   Result<QueryOutput> out = pipeline.Run(sql, eopts);
-  ddl_lock.unlock();
   Roll(out);
   return out;
 }
@@ -71,7 +67,6 @@ std::vector<Result<QueryOutput>> Session::QueryBatch(
   BatchOptions bopts = opts;
   bopts.seed = DeriveSeed(opts.seed);
   std::vector<Result<QueryOutput>> results;
-  std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
   if (!bopts.derive_item_seeds && id_ != 0) {
     // Per-item seeds are kept, but the session id still folds in — two
     // sessions running the identical batch must explore independently.
@@ -81,17 +76,18 @@ std::vector<Result<QueryOutput>> Session::QueryBatch(
   } else {
     results = db_->QueryBatchInternal(items, bopts);
   }
-  ddl_lock.unlock();
   for (const auto& r : results) Roll(r);
   return results;
 }
 
 Result<std::unique_ptr<PreparedStatement>> Session::Prepare(
     const std::string& sql) {
-  std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
   SKINNER_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
   if (stmt.kind == Statement::Kind::kUpdate ||
       stmt.kind == Statement::Kind::kDelete) {
+    // A DML target binds against the current version, which only a writer
+    // may hold unpinned.
+    std::lock_guard<std::mutex> writer(db_->writer_mu_);
     Result<BoundMutation> bound =
         stmt.kind == Statement::Kind::kUpdate
             ? BindUpdate(stmt.update.get(), db_->catalog(), db_->udfs())
@@ -118,10 +114,8 @@ std::vector<Result<QueryOutput>> Session::ExecuteBatch(
     const BatchOptions& opts) {
   BatchOptions bopts = opts;
   bopts.seed = DeriveSeed(opts.seed);
-  std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
   std::vector<Result<QueryOutput>> results =
       stmt->ExecuteMany(param_sets, bopts, defaults_);
-  ddl_lock.unlock();
   for (const auto& r : results) Roll(r);
   return results;
 }

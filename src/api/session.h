@@ -51,11 +51,12 @@ struct SessionStats {
 /// Thread-safety: a session may be used from one thread at a time (like a
 /// driver connection); distinct sessions over one Database run queries,
 /// prepares, and statement executions fully concurrently — the string
-/// pool is internally locked, and every query path holds the database's
-/// DDL lock shared, so concurrent Database::Execute (CREATE/INSERT/DROP)
-/// serializes against running queries and fails cleanly (stale statement,
-/// unknown table) instead of racing them. Stats roll-ups are internally
-/// locked (batch workers update them concurrently).
+/// pool is internally locked, and every query pins the table versions it
+/// binds, so a concurrent write (Database::Execute, Checkpoint, prepared
+/// DML) neither waits for it nor changes what it reads; a DROP or
+/// re-CREATE fails later statements cleanly (stale statement, unknown
+/// table). Stats roll-ups are internally locked (batch workers update
+/// them concurrently).
 class Session {
  public:
   Session(const Session&) = delete;

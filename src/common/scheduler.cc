@@ -156,7 +156,6 @@ void Scheduler::WorkerMain() {
     ss->pass += 1.0 / ss->weight;
     lk.unlock();
     job->fn();
-    job->promise.set_value();
     lk.lock();
     SessionState& done_ss = sessions_[job->session];
     --done_ss.inflight;
@@ -167,6 +166,11 @@ void Scheduler::WorkerMain() {
     // may have been waiting for this completion.
     cv_.notify_all();
     drain_cv_.notify_all();
+    // The ticket resolves only after the books are closed, so a caller
+    // returning from Ticket::Wait() sees its job in stats() as completed.
+    lk.unlock();
+    job->promise.set_value();
+    lk.lock();
   }
 }
 

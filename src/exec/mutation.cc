@@ -9,7 +9,7 @@ namespace skinner {
 Result<MutationPlan> ComputeMutation(const BoundMutation& m,
                                      const StringPool* pool) {
   MutationPlan plan;
-  Table* tab = m.table;
+  const Table* tab = m.table.get();
   const std::vector<const Table*> tables = {tab};
   std::vector<int64_t> binding(1, 0);
   VirtualClock clock;

@@ -1,6 +1,7 @@
 #include "server/server.h"
 
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <optional>
@@ -159,9 +160,13 @@ Result<std::vector<Value>> ParseLiteralList(const std::string& text) {
       }
       values.push_back(Value::Double(d));
     } else {
+      errno = 0;
       long long v = std::strtoll(tok.c_str(), &end, 10);
       if (end == nullptr || *end != '\0' || end == tok.c_str()) {
         return Status::ParseError("bad literal: " + tok);
+      }
+      if (errno == ERANGE) {
+        return Status::ParseError("integer literal out of range: " + tok);
       }
       values.push_back(Value::Int(static_cast<int64_t>(v)));
     }

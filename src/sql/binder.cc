@@ -8,8 +8,8 @@ namespace {
 
 class Binder {
  public:
-  Binder(Catalog* catalog, const UdfRegistry* udfs)
-      : catalog_(catalog), udfs_(udfs) {}
+  Binder(Catalog* catalog, TableSnapshot* snapshot, const UdfRegistry* udfs)
+      : catalog_(catalog), snapshot_(snapshot), udfs_(udfs) {}
 
   Result<BoundQuery> Bind(SelectStmt* stmt);
   Result<BoundMutation> BindUpdateStmt(UpdateStmt* stmt);
@@ -18,7 +18,7 @@ class Binder {
  private:
   /// Resolves the single target table of a mutation into out_.tables so
   /// the SELECT column-resolution machinery applies unchanged.
-  Result<Table*> BindMutationTarget(const std::string& name);
+  Result<std::shared_ptr<Table>> BindMutationTarget(const std::string& name);
   /// Moves the shared parameter-inference state into `m`.
   void FinishMutation(BoundMutation* m);
   Status BindExpr(Expr* e);
@@ -33,6 +33,7 @@ class Binder {
   Status SetParamType(Expr* e, DataType t);
 
   Catalog* catalog_;
+  TableSnapshot* snapshot_;  // SELECT only: where FROM tables resolve
   const UdfRegistry* udfs_;
   BoundQuery out_;
 };
@@ -282,7 +283,7 @@ Status Binder::BindExpr(Expr* e) {
 Result<BoundQuery> Binder::Bind(SelectStmt* stmt) {
   // FROM.
   for (const auto& ref : stmt->from) {
-    Table* t = catalog_->FindTable(ref.table_name);
+    const Table* t = snapshot_->Resolve(ref.table_name);
     if (t == nullptr) {
       return Status::BindError("unknown table: " + ref.table_name);
     }
@@ -388,12 +389,13 @@ Result<BoundQuery> Binder::Bind(SelectStmt* stmt) {
   return std::move(out_);
 }
 
-Result<Table*> Binder::BindMutationTarget(const std::string& name) {
-  Table* t = catalog_->FindTable(name);
+Result<std::shared_ptr<Table>> Binder::BindMutationTarget(
+    const std::string& name) {
+  std::shared_ptr<Table> t = catalog_->Current(name);
   if (t == nullptr) {
     return Status::BindError("unknown table: " + name);
   }
-  out_.tables.push_back(BoundTable{t, name});
+  out_.tables.push_back(BoundTable{t.get(), name});
   return t;
 }
 
@@ -467,21 +469,29 @@ Result<BoundMutation> Binder::BindDeleteStmt(DeleteStmt* stmt) {
 
 }  // namespace
 
+Result<BoundQuery> BindSelect(SelectStmt* stmt,
+                              std::shared_ptr<TableSnapshot> snapshot,
+                              const UdfRegistry* udfs) {
+  Binder binder(snapshot->catalog(), snapshot.get(), udfs);
+  SKINNER_ASSIGN_OR_RETURN(BoundQuery q, binder.Bind(stmt));
+  q.snapshot = std::move(snapshot);
+  return q;
+}
+
 Result<BoundQuery> BindSelect(SelectStmt* stmt, Catalog* catalog,
                               const UdfRegistry* udfs) {
-  Binder binder(catalog, udfs);
-  return binder.Bind(stmt);
+  return BindSelect(stmt, std::make_shared<TableSnapshot>(catalog), udfs);
 }
 
 Result<BoundMutation> BindUpdate(UpdateStmt* stmt, Catalog* catalog,
                                  const UdfRegistry* udfs) {
-  Binder binder(catalog, udfs);
+  Binder binder(catalog, /*snapshot=*/nullptr, udfs);
   return binder.BindUpdateStmt(stmt);
 }
 
 Result<BoundMutation> BindDelete(DeleteStmt* stmt, Catalog* catalog,
                                  const UdfRegistry* udfs) {
-  Binder binder(catalog, udfs);
+  Binder binder(catalog, /*snapshot=*/nullptr, udfs);
   return binder.BindDeleteStmt(stmt);
 }
 
@@ -521,6 +531,7 @@ std::unique_ptr<BoundQuery> BoundQuery::Clone() const {
   q->num_params = num_params;
   q->param_types = param_types;
   q->param_known = param_known;
+  q->snapshot = snapshot;
   return q;
 }
 

@@ -50,10 +50,17 @@ struct BoundQuery {
   std::vector<DataType> param_types;  // inferred; indexed by ordinal
   std::vector<bool> param_known;      // false: type could not be inferred
 
+  /// The pinned table versions `tables` point at: they stay alive and
+  /// unchanged while this is set. The pipeline moves it into the prepare
+  /// stage before the query can enter the PreparedCache, so no cache entry
+  /// ever holds a pin; a query without it must not be executed.
+  std::shared_ptr<TableSnapshot> snapshot;
+
   int num_tables() const { return static_cast<int>(tables.size()); }
 
-  /// Deep copy (expression trees cloned; Table pointers shared). Used by
-  /// PreparedStatement to instantiate a template per execution.
+  /// Deep copy (expression trees cloned; Table pointers and their pins
+  /// shared). Used by PreparedStatement to instantiate a template per
+  /// execution.
   std::unique_ptr<BoundQuery> Clone() const;
   std::vector<const Table*> TablePtrs() const {
     std::vector<const Table*> out;
@@ -70,7 +77,10 @@ struct BoundQuery {
 /// through PreparedStatement.
 struct BoundMutation {
   Statement::Kind kind = Statement::Kind::kUpdate;
-  Table* table = nullptr;
+  /// The target's current version at bind time, kept alive by this handle
+  /// (Catalog::Current) so a write may still read it after publishing a
+  /// new version.
+  std::shared_ptr<Table> table;
   std::string table_name;  // as written (for freshness re-lookup)
 
   struct SetClause {
@@ -89,13 +99,19 @@ struct BoundMutation {
   std::unique_ptr<BoundMutation> Clone() const;
 };
 
-/// Binds a parsed SELECT against the catalog. `stmt` is consumed. String
+/// Binds a parsed SELECT against the table versions of `snapshot`, which
+/// the result keeps (BoundQuery::snapshot). `stmt` is consumed. String
 /// literals are interned into the catalog's pool so engines can compare
 /// dictionary codes instead of strings.
+Result<BoundQuery> BindSelect(SelectStmt* stmt,
+                              std::shared_ptr<TableSnapshot> snapshot,
+                              const UdfRegistry* udfs);
+/// As above, against a fresh snapshot of `catalog`.
 Result<BoundQuery> BindSelect(SelectStmt* stmt, Catalog* catalog,
                               const UdfRegistry* udfs);
 
-/// Binds UPDATE / DELETE against the catalog (`stmt` consumed). SET
+/// Binds UPDATE / DELETE against the catalog's current version of the
+/// target (`stmt` consumed); callers serialize this with writes. SET
 /// expressions and WHERE may reference the target table's columns; a bare
 /// `?` in `SET col = ?` takes the column's type.
 Result<BoundMutation> BindUpdate(UpdateStmt* stmt, Catalog* catalog,

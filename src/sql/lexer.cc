@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/str_util.h"
@@ -70,7 +71,13 @@ Result<std::vector<Token>> Lex(const std::string& sql) {
         tok.double_val = std::strtod(text.c_str(), nullptr);
       } else {
         tok.type = TokenType::kInt;
+        errno = 0;
         tok.int_val = std::strtoll(text.c_str(), nullptr, 10);
+        if (errno == ERANGE) {
+          return Status::ParseError(
+              StrFormat("integer literal out of range at offset %zu: %s",
+                        tok.pos, text.c_str()));
+        }
       }
       tok.text = std::move(text);
       out.push_back(std::move(tok));

@@ -48,18 +48,14 @@ TableStats ComputeTableStats(const Table& table) {
   return stats;
 }
 
-const TableStats& StatsManager::Get(const Table* table) {
+std::shared_ptr<const TableStats> StatsManager::Get(const Table* table) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(table);
-  if (it != cache_.end() &&
-      it->second.data_version == table->data_version()) {
-    return it->second.stats;
+  Entry& entry = cache_[table->id()];
+  if (entry.stats == nullptr || entry.data_version != table->data_version()) {
+    entry.data_version = table->data_version();
+    entry.stats = std::make_shared<const TableStats>(ComputeTableStats(*table));
   }
-  Entry entry;
-  entry.data_version = table->data_version();
-  entry.stats = ComputeTableStats(*table);
-  auto [pos, inserted] = cache_.insert_or_assign(table, std::move(entry));
-  return pos->second.stats;
+  return entry.stats;
 }
 
 }  // namespace skinner

@@ -33,26 +33,27 @@ struct TableStats {
 /// statistic.
 TableStats ComputeTableStats(const Table& table);
 
-/// Cache of per-table statistics, keyed on the table's data_version like
-/// every other piece of cached derived state — any DML (append, UPDATE,
-/// DELETE) bumps the version and invalidates on next lookup (a row-count
-/// comparison would miss in-place updates and mask-only deletes).
-/// Thread-safe: concurrent batch-execution items plan with estimators over
-/// one shared manager. The returned reference stays valid while no DML
-/// touches the table (map references survive rehashing; an entry is only
-/// replaced when the version moved, and DML concurrent with query
-/// execution is outside the API contract anyway).
+/// Cache of per-table statistics, keyed on the table's id and checked
+/// against its data_version like every other piece of cached derived
+/// state — any DML (append, UPDATE, DELETE) bumps the version and
+/// invalidates on next lookup (a row-count comparison would miss in-place
+/// updates and mask-only deletes). The id, unlike the Table's address,
+/// survives copy-on-write versions (one entry per table, not per write)
+/// and is never reused by a later table.
+/// Thread-safe: concurrent queries plan with estimators over one shared
+/// manager, possibly over different versions of one table; each caller
+/// keeps the statistics it got alive through the returned pointer.
 class StatsManager {
  public:
-  const TableStats& Get(const Table* table);
+  std::shared_ptr<const TableStats> Get(const Table* table);
 
  private:
   struct Entry {
     uint64_t data_version;
-    TableStats stats;
+    std::shared_ptr<const TableStats> stats;
   };
   std::mutex mu_;
-  std::unordered_map<const Table*, Entry> cache_;
+  std::unordered_map<uint64_t, Entry> cache_;  // Table::id() -> entry
 };
 
 }  // namespace skinner

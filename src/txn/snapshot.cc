@@ -139,7 +139,7 @@ Status WriteSnapshot(const std::string& path, const Catalog& catalog,
   const std::vector<std::string> names = catalog.TableNames();
   PutU32(&out, static_cast<uint32_t>(names.size()));
   for (const std::string& name : names) {
-    const Table* t = catalog.FindTable(name);
+    const std::shared_ptr<const Table> t = catalog.Current(name);
     PutStr(&out, t->name());
     const Schema& schema = t->schema();
     PutU32(&out, static_cast<uint32_t>(schema.num_columns()));

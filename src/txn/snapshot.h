@@ -29,7 +29,8 @@ namespace skinner {
 
 /// Serializes every table reachable from `catalog` to `path` atomically.
 /// `last_lsn` is the highest WAL LSN already applied to `catalog`
-/// (WalWriter::last_lsn at checkpoint time; 0 for a fresh database).
+/// (WalWriter::last_lsn at checkpoint time; 0 for a fresh database). The
+/// caller serializes it with writes; readers of the tables may run on.
 Status WriteSnapshot(const std::string& path, const Catalog& catalog,
                      uint64_t last_lsn);
 

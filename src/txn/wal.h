@@ -91,8 +91,8 @@ Result<WalReplay> ReplayWal(const std::string& path);
 /// its data and inode, not the entry that names it.
 Status FsyncParentDir(const std::string& file_path);
 
-/// Append-side handle. Not thread-safe: the database serializes all DML
-/// under its exclusive DDL lock, which is also the WAL append order.
+/// Append-side handle. Not thread-safe: the database serializes all DDL
+/// and DML on its writer mutex, which is also the WAL append order.
 class WalWriter {
  public:
   ~WalWriter();

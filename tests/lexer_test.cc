@@ -22,6 +22,16 @@ TEST(LexerTest, IdentifiersAndKeywords) {
   EXPECT_EQ(toks[4].type, TokenType::kEnd);
 }
 
+TEST(LexerTest, RejectsOutOfRangeIntegerLiterals) {
+  auto max = MustLex("9223372036854775807");
+  EXPECT_EQ(max[0].int_val, INT64_MAX);
+
+  auto over = Lex("SELECT 9223372036854775808");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(Lex("99999999999999999999999").ok());
+}
+
 TEST(LexerTest, IntegerAndDoubleLiterals) {
   auto toks = MustLex("1 42 3.14 .5 1e3 2.5E-2");
   EXPECT_EQ(toks[0].type, TokenType::kInt);

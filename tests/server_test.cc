@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -286,6 +287,18 @@ TEST(ServerLiteralTest, ParsesIntsDoublesStringsNull) {
   EXPECT_TRUE(ParseLiteralList("").ok());
 }
 
+TEST(ServerLiteralTest, RejectsOutOfRangeIntegers) {
+  auto edge = ParseLiteralList("9223372036854775807 -9223372036854775808");
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge.value()[0].AsInt(), INT64_MAX);
+  EXPECT_EQ(edge.value()[1].AsInt(), INT64_MIN);
+
+  auto over = ParseLiteralList("1 9223372036854775808");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(ParseLiteralList("-9223372036854775809").ok());
+}
+
 TEST(ServerLiteralTest, EscapeFieldKeepsRowsOneLine) {
   EXPECT_EQ(EscapeField("plain"), "plain");
   EXPECT_EQ(EscapeField("a\tb"), "a\\tb");
@@ -436,39 +449,128 @@ TEST(ServerShutdownTest, ShutdownDrainsThenRejects) {
 // DDL racing concurrent queries must yield clean per-query Status errors
 // (stale statement / unknown table), never a crash or torn read. Run under
 // TSan in CI.
+// DDL, DML and checkpoints interleaved with ad-hoc and prepared queries on
+// a durable database: every reply is a clean protocol line, and after a
+// reopen the data holds every acknowledged write.
 TEST(ServerConcurrencyTest, DdlInterleavedWithQueriesIsClean) {
-  Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE r (k INT, v INT)").ok());
-  ASSERT_TRUE(db.Execute("INSERT INTO r VALUES (1, 10), (2, 20)").ok());
-  ServerCore core(&db);
-  auto ddl_conn = core.Connect();
-  auto query_conn = core.Connect();
-  ASSERT_TRUE(ddl_conn.ok());
-  ASSERT_TRUE(query_conn.ok());
-
-  std::atomic<bool> stop{false};
-  std::thread ddl([&] {
-    for (int i = 0; i < 25 && !stop.load(); ++i) {
-      ddl_conn.value()->HandleLine("X DROP TABLE r");
-      ddl_conn.value()->HandleLine("X CREATE TABLE r (k INT, v INT)");
-      ddl_conn.value()->HandleLine("X INSERT INTO r VALUES (1, 10), (2, 20)");
+  const std::string dir = ::testing::TempDir() + "server_mix_" +
+                          std::to_string(static_cast<long>(::getpid()));
+  auto cleanup = [&] {
+    std::remove((dir + "/wal.log").c_str());
+    std::remove((dir + "/checkpoint.skdb").c_str());
+    ::rmdir(dir.c_str());
+  };
+  cleanup();
+  constexpr int kKeys = 8;
+  // key -> last acknowledged value of v; -1 for an acknowledged delete.
+  std::map<int64_t, int64_t> expected;
+  {
+    auto opened = Database::Open(dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<Database> db = opened.MoveValue();
+    ASSERT_TRUE(db->Execute("CREATE TABLE r (k INT, v INT)").ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO r VALUES (1, 10), (2, 20)").ok());
+    ASSERT_TRUE(db->Execute("CREATE TABLE w (k INT, v INT)").ok());
+    for (int k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(db->Execute("INSERT INTO w VALUES (" + std::to_string(k) +
+                              ", 0)")
+                      .ok());
+      expected[k] = 0;
     }
-  });
-  std::thread query([&] {
-    for (int i = 0; i < 50; ++i) {
-      ServerResponse r = query_conn.value()->HandleLine(
-          "Q SELECT COUNT(*) FROM r WHERE v > 5");
+    ServerCore core(db.get());
+    auto ddl_conn = core.Connect();
+    auto dml_conn = core.Connect();
+    auto query_conn = core.Connect();
+    ASSERT_TRUE(ddl_conn.ok());
+    ASSERT_TRUE(dml_conn.ok());
+    ASSERT_TRUE(query_conn.ok());
+    ASSERT_EQ(query_conn.value()->HandleLine("P get SELECT v FROM w WHERE k = ?")
+                  .text,
+              "OK params=1\n");
+    ASSERT_EQ(dml_conn.value()->HandleLine("P set UPDATE w SET v = ? WHERE k = ?")
+                  .text,
+              "OK params=2\n");
+
+    auto expect_clean = [](const ServerResponse& r) {
       for (const std::string& line : Lines(r.text)) {
         const bool clean = line.rfind("ROW", 0) == 0 ||
                            line.rfind("OK", 0) == 0 ||
                            line.rfind("ERR", 0) == 0;
         EXPECT_TRUE(clean) << line;
       }
+    };
+    auto acknowledged = [](const ServerResponse& r) {
+      return r.text.rfind("ERR", 0) != 0;
+    };
+
+    std::atomic<bool> stop{false};
+    std::thread ddl([&] {
+      for (int i = 0; i < 25 && !stop.load(); ++i) {
+        expect_clean(ddl_conn.value()->HandleLine("X DROP TABLE r"));
+        expect_clean(
+            ddl_conn.value()->HandleLine("X CREATE TABLE r (k INT, v INT)"));
+        expect_clean(ddl_conn.value()->HandleLine(
+            "X INSERT INTO r VALUES (1, 10), (2, 20)"));
+      }
+    });
+    std::thread dml([&] {
+      // The last key is deleted half-way; every other write is a point
+      // UPDATE, by SQL text or by prepared statement, with a CHECKPOINT
+      // every few writes.
+      for (int i = 1; i <= 30; ++i) {
+        const int64_t key = i % (kKeys - 1);
+        ServerResponse r =
+            i % 2 == 0
+                ? dml_conn.value()->HandleLine(
+                      "X UPDATE w SET v = " + std::to_string(i) +
+                      " WHERE k = " + std::to_string(key))
+                : dml_conn.value()->HandleLine("E set " + std::to_string(i) +
+                                               " " + std::to_string(key));
+        expect_clean(r);
+        if (acknowledged(r)) expected[key] = i;
+        if (i == 15) {
+          r = dml_conn.value()->HandleLine("X DELETE FROM w WHERE k = " +
+                                           std::to_string(kKeys - 1));
+          expect_clean(r);
+          if (acknowledged(r)) expected[kKeys - 1] = -1;
+        }
+        if (i % 7 == 0) expect_clean(dml_conn.value()->HandleLine("CHECKPOINT"));
+      }
+    });
+    std::thread query([&] {
+      for (int i = 0; i < 50; ++i) {
+        expect_clean(query_conn.value()->HandleLine(
+            "Q SELECT COUNT(*) FROM r WHERE v > 5"));
+        expect_clean(query_conn.value()->HandleLine(
+            "Q SELECT COUNT(*) FROM w a, w b WHERE a.k = b.k"));
+        expect_clean(
+            query_conn.value()->HandleLine("E get " + std::to_string(i % kKeys)));
+      }
+      stop.store(true);
+    });
+    ddl.join();
+    dml.join();
+    query.join();
+  }
+
+  std::map<int64_t, int64_t> got;
+  {
+    auto reopened = Database::Open(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    auto rows = reopened.value()->Query("SELECT k, v FROM w");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    for (const auto& row : rows.value().result.rows) {
+      got[row[0].AsInt()] = row[1].AsInt();
     }
-    stop.store(true);
-  });
-  ddl.join();
-  query.join();
+  }
+  cleanup();
+  for (const auto& [key, value] : expected) {
+    if (value < 0) {
+      EXPECT_EQ(got.count(key), 0u) << "deleted key " << key;
+    } else {
+      EXPECT_EQ(got[key], value) << "key " << key;
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include "api/database.h"
 #include "api/prepared_statement.h"
@@ -148,6 +154,96 @@ TEST_F(SessionTest, PreparedStatementsOnDistinctSessionsShareTheTemplateCache) {
                 .value()
                 .result.rows[0][0]
                 .AsInt());
+}
+
+// Snapshot reads: a reader blocked in the middle of scanning `t` holds
+// its pinned version, and UPDATE, DELETE and CHECKPOINT all complete
+// while it waits. The reader then returns the rows as they were before the
+// writes, the next read sees the writes, and the version the reader alone
+// kept alive is freed as soon as it finishes.
+TEST(SnapshotReadTest, WritesDoNotWaitForABlockedReader) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (k INT, v INT)").ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
+          .ok());
+
+  // A latch inside the scan: the first call of gate() blocks until the
+  // test releases it.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+  ASSERT_TRUE(db.udfs()
+                  ->Register("gate", 1, DataType::kInt64,
+                             [&](const std::vector<Value>&) {
+                               std::unique_lock<std::mutex> lock(mu);
+                               if (!entered) {
+                                 entered = true;
+                                 cv.notify_all();
+                                 cv.wait(lock, [&] { return released; });
+                               }
+                               return Value::Int(1);
+                             })
+                  .ok());
+  auto release = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  };
+
+  const std::weak_ptr<Table> before_writes = db.catalog()->Current("t");
+  std::unique_ptr<Session> reader_session = db.CreateSession();
+  std::promise<Result<QueryOutput>> read_promise;
+  std::future<Result<QueryOutput>> read = read_promise.get_future();
+  std::thread reader([&] {
+    read_promise.set_value(
+        reader_session->Query("SELECT k, v FROM t WHERE gate(k) = 1"));
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+
+  // The writes run on their own thread, so a regression that makes them
+  // wait for the reader fails the test instead of hanging it.
+  std::weak_ptr<Table> after_update;
+  auto writes = std::async(std::launch::async, [&] {
+    Status st = db.Execute("UPDATE t SET v = v + 1 WHERE k = 1");
+    if (!st.ok()) return st;
+    after_update = db.catalog()->Current("t");
+    st = db.Execute("DELETE FROM t WHERE k = 2");
+    if (!st.ok()) return st;
+    return db.Checkpoint();
+  });
+  const bool done =
+      writes.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  EXPECT_TRUE(done) << "writes waited for a blocked reader";
+  if (done) {
+    Status st = writes.get();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(read.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);  // still blocked
+    // The reader's version was copied, not changed; the writes after the
+    // first found the new version unpinned and wrote it in place.
+    std::shared_ptr<Table> current = db.catalog()->Current("t");
+    EXPECT_FALSE(before_writes.expired());
+    EXPECT_NE(before_writes.lock(), current);
+    EXPECT_EQ(after_update.lock(), current);
+  }
+  release();
+  reader.join();
+  if (!done) writes.wait();
+
+  Result<QueryOutput> got = read.get();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(testing::CanonicalRows(got.value().result),
+            "1|10|\n2|20|\n3|30|\n4|40|\n");
+  EXPECT_TRUE(before_writes.expired());
+
+  Result<QueryOutput> next = db.Query("SELECT k, v FROM t");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(testing::CanonicalRows(next.value().result), "1|11|\n3|30|\n4|40|\n");
 }
 
 }  // namespace

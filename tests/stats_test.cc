@@ -62,30 +62,59 @@ TEST_F(StatsTest, ComputeTableStats) {
 
 TEST_F(StatsTest, StatsManagerCachesUntilDataVersionChanges) {
   StatsManager mgr;
-  const TableStats& s1 = mgr.Get(table_);
-  const TableStats& s2 = mgr.Get(table_);
-  EXPECT_EQ(&s1, &s2);
+  auto s1 = mgr.Get(table_);
+  auto s2 = mgr.Get(table_);
+  EXPECT_EQ(s1, s2);
   ASSERT_TRUE(table_->AppendRow({Value::Int(1), Value::String("z"),
                                  Value::Double(1)}).ok());
-  const TableStats& s3 = mgr.Get(table_);
-  EXPECT_EQ(s3.row_count, 101);
+  auto s3 = mgr.Get(table_);
+  EXPECT_EQ(s3->row_count, 101);
+  EXPECT_EQ(s1->row_count, 100);  // a holder of the old stats keeps them
+}
+
+TEST(StatsManagerTest, KeysOnTableIdNotAddress) {
+  // A table dropped and re-created can land at the freed address with the
+  // same data_version. Keyed on the address, the manager served the dead
+  // table's statistics for the new one.
+  StringPool pool;
+  StatsManager mgr;
+  alignas(Table) unsigned char storage[sizeof(Table)];
+  auto make = [&](uint64_t id, std::vector<int64_t> keys) {
+    Table* t = new (storage) Table("t", Schema({{"k", DataType::kInt64}}),
+                                   &pool);
+    t->set_id(id);
+    for (int64_t k : keys) {
+      t->mutable_column(0)->AppendInt(k);
+      t->CommitRow();
+    }
+    return t;
+  };
+  Table* dropped = make(1, {7, 7});
+  EXPECT_EQ(mgr.Get(dropped)->columns[0].num_distinct, 1);
+  const uint64_t version = dropped->data_version();
+  dropped->~Table();
+  Table* recreated = make(2, {7, 8});
+  ASSERT_EQ(static_cast<void*>(recreated), static_cast<void*>(storage));
+  ASSERT_EQ(recreated->data_version(), version);
+  EXPECT_EQ(mgr.Get(recreated)->columns[0].num_distinct, 2);
+  recreated->~Table();
 }
 
 TEST_F(StatsTest, DmlInvalidatesCachedStatsAndSkipsDeletedRows) {
   StatsManager mgr;
-  EXPECT_EQ(mgr.Get(table_).row_count, 100);
+  EXPECT_EQ(mgr.Get(table_)->row_count, 100);
   // An in-place UPDATE leaves num_rows unchanged but must invalidate.
   ASSERT_TRUE(table_->UpdateCell(0, 0, Value::Int(1234)).ok());
-  const TableStats& s2 = mgr.Get(table_);
-  EXPECT_EQ(s2.columns[0].num_distinct, 11);  // 0..9 plus the new 1234
-  EXPECT_DOUBLE_EQ(s2.columns[0].max_val, 1234);
+  auto s2 = mgr.Get(table_);
+  EXPECT_EQ(s2->columns[0].num_distinct, 11);  // 0..9 plus the new 1234
+  EXPECT_DOUBLE_EQ(s2->columns[0].max_val, 1234);
   // A mask-only DELETE likewise, and the deleted row drops out of every
   // statistic (1234 lived only in row 0).
   table_->DeleteRow(0);
-  const TableStats& s3 = mgr.Get(table_);
-  EXPECT_EQ(s3.row_count, 99);
-  EXPECT_EQ(s3.columns[0].num_distinct, 10);
-  EXPECT_DOUBLE_EQ(s3.columns[0].max_val, 9);
+  auto s3 = mgr.Get(table_);
+  EXPECT_EQ(s3->row_count, 99);
+  EXPECT_EQ(s3->columns[0].num_distinct, 10);
+  EXPECT_DOUBLE_EQ(s3->columns[0].max_val, 9);
 }
 
 TEST_F(StatsTest, EqualitySelectivityUsesNdv) {

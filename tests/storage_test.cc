@@ -155,5 +155,53 @@ TEST(CatalogTest, TableNamesSorted) {
   EXPECT_EQ(cat.TableNames(), (std::vector<std::string>{"alpha", "zeta"}));
 }
 
+TEST(CatalogTest, WritesCopyPinnedVersionsAndSharedColumns) {
+  Catalog cat;
+  Table* t = cat.CreateTable("t", Schema({{"a", DataType::kInt64},
+                                          {"b", DataType::kInt64}}))
+                 .value();
+  ASSERT_TRUE(t->AppendRow({Value::Int(1), Value::Int(10)}).ok());
+  ASSERT_TRUE(t->AppendRow({Value::Int(2), Value::Int(20)}).ok());
+  auto no_log = [] { return Status::OK(); };
+  auto set = [](int col, int64_t v) {
+    return [col, v](Table* target) {
+      return target->UpdateCell(0, col, Value::Int(v));
+    };
+  };
+
+  // Unpinned: in place, the same version object.
+  std::shared_ptr<Table> v0 = cat.Current("t");
+  ASSERT_TRUE(cat.Write(v0, {1}, false, set(1, 11), no_log).ok());
+  EXPECT_EQ(cat.Current("t"), v0);
+
+  // Pinned: the write goes to a clone that copies only column b.
+  std::shared_ptr<const Table> pin = cat.Pin("t");
+  const uint64_t pinned_version = pin->data_version();
+  ASSERT_TRUE(cat.Write(v0, {1}, false, set(1, 12), no_log).ok());
+  std::shared_ptr<Table> v1 = cat.Current("t");
+  ASSERT_NE(v1, v0);
+  EXPECT_EQ(v1->id(), v0->id());
+  EXPECT_GT(v1->data_version(), pinned_version);
+  EXPECT_EQ(&v1->column(0), &pin->column(0));  // shared
+  EXPECT_NE(&v1->column(1), &pin->column(1));  // copied
+  EXPECT_EQ(pin->column(1).GetInt(0), 11);
+  EXPECT_EQ(v1->column(1).GetInt(0), 12);
+
+  // v1 is unpinned, so it is written in place, but column a is still
+  // shared with the pinned v0 and must be copied first.
+  ASSERT_TRUE(cat.Write(v1, {0}, false, set(0, 7), no_log).ok());
+  EXPECT_EQ(cat.Current("t"), v1);
+  EXPECT_EQ(v1->column(0).GetInt(0), 7);
+  EXPECT_EQ(pin->column(0).GetInt(0), 1);
+  EXPECT_EQ(pin->data_version(), pinned_version);
+
+  // A write that changes nothing publishes nothing.
+  std::shared_ptr<const Table> pin1 = cat.Pin("t");
+  ASSERT_TRUE(
+      cat.Write(v1, {}, true, [](Table*) { return Status::OK(); }, no_log)
+          .ok());
+  EXPECT_EQ(cat.Current("t"), v1);
+}
+
 }  // namespace
 }  // namespace skinner
